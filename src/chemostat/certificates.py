@@ -22,10 +22,10 @@ is smallest so users can tighten the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import roots
-from .equilibria import NoEquilibriumError, local_stability_e1
+from .equilibria import local_stability_e1
 from .model import (ChemostatModel, DomainError, NotApplicableError,
                     break_even, p1_curve, _require_normalized)
 from .scalarfn import DifferenceFn, MonodFn, PolyFn, QuotientFn
@@ -264,12 +264,20 @@ def check_h11(model: ChemostatModel, grid_size: int = GRID_SIZE) -> SignConditio
     """
     _require_normalized(model)
     f1 = model.species[0].growth
-    lam1 = break_even(f1, scan_max=1.0).lam
+    lam1 = break_even(f1).lam
     if not lam1 < 1.0:
         raise NotApplicableError(
             f"species 1 break-even is {lam1!r}; the condition needs it below 1")
-    margin, worst = _grid_min(lambda s: (s - lam1) * f1(s),
-                              standard_grid(grid_size), exclude=lam1)
+    return _growth_sign(f1, lam1, standard_grid(grid_size))
+
+
+def _growth_sign(g, lam: float, pts: list[float]) -> SignConditionResult:
+    """Growth changes sign only at ``lam``: the minimum over ``pts`` of
+    ``(S - lam) * g(S)``, or of ``-g(S)`` when ``lam`` is not below 1."""
+    if lam < 1.0:
+        margin, worst = _grid_min(lambda s: (s - lam) * g(s), pts, exclude=lam)
+    else:
+        margin, worst = _grid_min(lambda s: -g(s), pts)
     return SignConditionResult(holds=margin > 0.0, worst_point=worst, margin=margin)
 
 
@@ -282,7 +290,7 @@ def check_h31(model: ChemostatModel, grid_size: int = GRID_SIZE) -> SignConditio
     every grid point, a sufficient condition in its own right.
     """
     _require_normalized(model)
-    lam1 = break_even(model.species[0].growth, scan_max=1.0).lam
+    lam1 = break_even(model.species[0].growth).lam
     if not lam1 < 1.0:
         raise NotApplicableError(
             f"species 1 break-even is {lam1!r}; the condition needs it below 1")
@@ -326,7 +334,7 @@ def _gap_analysis(model, i, weight, constant_name, grid_size, delta) -> GapAnaly
     f1 = model.species[0].growth
     sp = model.species[i - 1]
     fi, pi = sp.growth, sp.uptake
-    if not break_even(fi, scan_max=1.0).lam < 1.0:
+    if not break_even(fi).lam < 1.0:
         raise NotApplicableError(
             f"species {i} cannot break even below the inflow level; "
             "it washes out and needs no comparison constant")
@@ -513,18 +521,8 @@ def check_fiedler_hsu(model: ChemostatModel,
     """
     _require_normalized(model)
     pts = standard_grid(grid_size)
-    signs = []
-    for sp in model.species:
-        be = break_even(sp.growth, scan_max=10.0)
-        if be.lam < 1.0:
-            g = sp.growth
-            lam = be.lam
-            margin, worst = _grid_min(lambda s: (s - lam) * g(s), pts, exclude=lam)
-        else:
-            g = sp.growth
-            margin, worst = _grid_min(lambda s: -g(s), pts)
-        signs.append(SignConditionResult(holds=margin > 0.0,
-                                         worst_point=worst, margin=margin))
+    signs = [_growth_sign(sp.growth, break_even(sp.growth).lam, pts)
+             for sp in model.species]
     pairs = []
     n = model.n_species
     for i in range(1, n + 1):
@@ -568,7 +566,7 @@ def certify(model: ChemostatModel, grid_size: int = GRID_SIZE,
     """
     _require_normalized(model)
     notes: list[str] = []
-    bes = [break_even(sp.growth, scan_max=10.0) for sp in model.species]
+    bes = [break_even(sp.growth) for sp in model.species]
     lambdas = tuple(be.lam for be in bes)
     mus = tuple(be.mu for be in bes)
     for k, be in enumerate(bes, start=1):

@@ -10,14 +10,12 @@ Subcommands::
 
 Exit codes: 0 success (analyze: certified), 1 input error, 2 analyze found
 the model uncertified, 3 analyze found washout only, 4 simulate hit a
-stiffness failure. Outputs are byte-identical across repeated runs;
-CHEMOSTAT_THREADS caps sweep parallelism.
+stiffness failure. Outputs are byte-identical across repeated runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import json
 import math
@@ -69,13 +67,7 @@ class RunConfig:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        if math.isnan(x):
-            return "nan"
-        return f"{x:.17g}"
-    return str(x)
+    return f"{x:.17g}" if isinstance(x, float) else str(x)
 
 
 def _write_json(path: str, obj) -> None:
@@ -255,9 +247,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
         model = normalize(model_from_dict(data))
         return certify(model, grid_size=cfg.grid)
 
-    threads = max(1, int(os.environ.get("CHEMOSTAT_THREADS", "4")))
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        reports = list(pool.map(run, combos))
+    reports = [run(combo) for combo in combos]
 
     n = len(normalize(model_from_dict(json.loads(json.dumps(base)))).species)
     header = list(keys) + ["verdict"]
@@ -289,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "cycle detection")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_model=True):
+    def common(p, needs_model=True, grid=False):
         if needs_model:
             p.add_argument("--model", required=True, help="model JSON file")
             p.add_argument("--set", action="append", default=[],
@@ -299,16 +289,18 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--echo-model", action="store_true",
                            help="print the parsed model as JSON")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--grid", type=int, default=certificates.GRID_SIZE,
-                       help="certificate grid size")
-        p.add_argument("--rtol", type=float, default=1e-8,
-                       help="integration relative tolerance")
-        p.add_argument("--t-end", type=float, default=500.0,
-                       help="integration horizon")
+        if grid:
+            p.add_argument("--grid", type=int, default=certificates.GRID_SIZE,
+                           help="certificate grid size")
 
-    common(sub.add_parser("analyze", help="run the stability certificates"))
+    common(sub.add_parser("analyze", help="run the stability certificates"),
+           grid=True)
     p_sim = sub.add_parser("simulate", help="integrate the model")
-    common(p_sim)
+    common(p_sim, grid=True)
+    p_sim.add_argument("--rtol", type=float, default=1e-8,
+                       help="integration relative tolerance")
+    p_sim.add_argument("--t-end", type=float, default=500.0,
+                       help="integration horizon")
     p_sim.add_argument("--initial", help="comma-separated S,x1,...,xN")
     p_cyc = sub.add_parser("cycles", help="limit-cycle scan (single species)")
     common(p_cyc)
@@ -319,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p_cc, needs_model=False)
     p_cc.add_argument("--b", help="comma-separated half-saturation values")
     p_sw = sub.add_parser("sweep", help="certify over a parameter grid")
-    common(p_sw)
+    common(p_sw, grid=True)
     p_sw.add_argument("--sweep", action="append", default=[],
                       metavar="PATH=V1,V2,...",
                       help="sweep a model entry over values (repeatable; "
@@ -339,13 +331,12 @@ def _config_from_args(args) -> RunConfig:
         command=args.command,
         model_path=getattr(args, "model", None),
         output_dir=args.out,
-        grid=args.grid,
-        rtol=args.rtol,
-        t_end=args.t_end,
         echo_model=getattr(args, "echo_model", False),
         cycle_grid=getattr(args, "cycle_grid", 64),
         x_lo=getattr(args, "x_lo", None),
         x_hi=getattr(args, "x_hi", None),
+        **{k: getattr(args, k) for k in ("grid", "rtol", "t_end")
+           if hasattr(args, k)},
     )
     for item in getattr(args, "set", []):
         cfg.overrides.append(_parse_kv(item))

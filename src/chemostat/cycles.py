@@ -18,13 +18,12 @@ matching their orbits before reporting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import roots
 from .equilibria import NoEquilibriumError
 from .model import (ChemostatModel, DomainError, ModelError, Species,
-                    break_even, vector_field, _require_normalized)
+                    break_even, vector_field, _nullcline, _require_normalized)
 from .rk45 import DormandPrince54, fixed_step
 
 TANGENT_TOL = 1e-10
@@ -63,11 +62,6 @@ class Landmarks:
     x_star: float
 
 
-def _nullcline(species: Species):
-    p = species.uptake
-    return lambda s: (1.0 - s) / p(s)
-
-
 def landmarks(species: Species, grid: int = 2048) -> Landmarks:
     """Locate the nullcline's critical points and level-matched landmarks.
 
@@ -75,17 +69,18 @@ def landmarks(species: Species, grid: int = 2048) -> Landmarks:
     anything else raises :class:`UnsupportedShapeError` rather than
     guessing. Requires the species to break even below the inflow level.
     """
-    lam = break_even(species.growth, scan_max=1.0).lam
+    lam = break_even(species.growth).lam
     if not lam < 1.0:
         raise NoEquilibriumError(
             f"break-even {lam!r}: no positive equilibrium to classify")
-    P = _nullcline(species)
+    def P(s):
+        return _nullcline(species.uptake, s)[0]
+
     x_star = P(lam)
     eps = 1e-6
 
     def dP(s):
-        pv, pd = species.uptake.eval_dual(s)
-        return (-pv - (1.0 - s) * pd) / (pv * pv)
+        return _nullcline(species.uptake, s)[1]
 
     crits = roots.find_zeros(dP, eps, 1.0 - eps, n=grid)
     if len(crits) == 0:
@@ -124,11 +119,11 @@ def _single_species(model: ChemostatModel) -> Species:
 
 def _section_data(model: ChemostatModel):
     sp = _single_species(model)
-    lam = break_even(sp.growth, scan_max=1.0).lam
+    lam = break_even(sp.growth).lam
     if not lam < 1.0:
         raise NoEquilibriumError(
             f"break-even {lam!r}: the section S=lambda is not defined")
-    x_star = _nullcline(sp)(lam)
+    x_star = _nullcline(sp.uptake, lam)[0]
     return sp, lam, x_star
 
 

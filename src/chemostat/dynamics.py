@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import rk45
 from .equilibria import enumerate_equilibria
 from .model import (ChemostatModel, DomainError, break_even, p1_curve,
                     vector_field, _require_normalized)
@@ -65,26 +64,12 @@ class Trajectory:
     def final_state(self) -> tuple[float, ...]:
         return self.states[-1]
 
-    def write_csv(self, fh, lyapunov: "LyapunovSamples | None" = None) -> None:
+    def write_csv(self, fh) -> None:
         n = len(self.states[0]) - 1
         header = ["t", "S"] + [f"x{i}" for i in range(1, n + 1)]
-        if lyapunov is not None:
-            header += ["V", "Vdot"]
-            by_time = {t: k for k, t in enumerate(lyapunov.times)}
         fh.write(",".join(header) + "\n")
         for t, state in zip(self.times, self.states):
-            row = [_fmt(t)] + [_fmt(v) for v in state]
-            if lyapunov is not None:
-                k = by_time.get(t)
-                if k is None:
-                    row += ["", ""]
-                else:
-                    row += [_fmt(lyapunov.V[k]), _fmt(lyapunov.Vdot_closed[k])]
-            fh.write(",".join(row) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+            fh.write(",".join(f"{v:.17g}" for v in (t, *state)) + "\n")
 
 
 def integrate(model: ChemostatModel, initial: Sequence[float], t_end: float,
@@ -162,7 +147,7 @@ def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
 # Lyapunov functions
 
 def _winner_data(model: ChemostatModel) -> tuple[float, float]:
-    lam1 = break_even(model.species[0].growth, scan_max=1.0).lam
+    lam1 = break_even(model.species[0].growth).lam
     if not lam1 < 1.0:
         raise DomainError("species 1 has no positive equilibrium; "
                           "no certified energy function exists")
@@ -188,28 +173,14 @@ def lyapunov_wl(model: ChemostatModel, state: Sequence[float],
     """Energy weighted by ``1 - S`` and its closed-form flow derivative.
 
     ``alphas`` holds one comparison constant per rival (species 2..N), e.g.
-    the ``chosen_alpha`` values of a feasible gap analysis. The derivative
-    formula is
+    the ``chosen_alpha`` values of a feasible gap analysis. The log well is
+    scaled by ``1/x1*``, so the derivative reduces to
     ``x_1*f_1(S)*(1/P(lam) - 1/P(S)) +
     sum_i x_i*(alpha_i*f_i(S)*(1-S) - f_1(S)*p_i(S)) / (1-S)``
     with ``P`` the substrate nullcline level; it is non-positive whenever
     the certificate conditions hold.
     """
-    _require_normalized(model)
-    _check_state(model, state, len(alphas))
-    lam1, x1s = _winner_data(model)
-    f1 = model.species[0].growth
-    S, x1 = state[0], state[1]
-
-    v = adaptive_simpson(lambda s: f1(s) / (1.0 - s), lam1, S)
-    v += (x1 - x1s - x1s * math.log(x1 / x1s)) / x1s
-    v += sum(a * x for a, x in zip(alphas, state[2:]))
-
-    nullcline = p1_curve(model, S)[0]
-    vdot = x1 * f1(S) * (1.0 / x1s - 1.0 / nullcline)
-    for a, sp, x in zip(alphas, model.species[1:], state[2:]):
-        vdot += x * (a * sp.growth(S) * (1.0 - S) - f1(S) * sp.uptake(S)) / (1.0 - S)
-    return v, vdot
+    return _energy(model, state, alphas, lambda s: 1.0 - s)
 
 
 def lyapunov_hsu(model: ChemostatModel, state: Sequence[float],
@@ -217,25 +188,42 @@ def lyapunov_hsu(model: ChemostatModel, state: Sequence[float],
     """Energy weighted by ``p_1(S)`` and its closed-form flow derivative.
 
     For a single species this is the classical planar energy function
-    (no rival terms). The derivative formula is
-    ``f_1(S)*(P(S) - P(lam)) +
+    (no rival terms). The log well has unit scale, so the derivative
+    reduces to ``f_1(S)*(P(S) - P(lam)) +
     sum_i x_i*(c_i*f_i(S)*p_1(S) - f_1(S)*p_i(S)) / p_1(S)``.
     """
+    return _energy(model, state, cs, model.species[0].uptake)
+
+
+def _energy(model: ChemostatModel, state: Sequence[float],
+            constants: Sequence[float], weight) -> tuple[float, float]:
+    """Energy with substrate weight ``w`` and its closed-form flow derivative.
+
+    ``V = int_lam^S f_1/w + (x_1 - x1s - x1s*ln(x_1/x1s))/k + sum_i a_i*x_i``
+    with ``x1s = P(lam)`` has the flow derivative
+    ``Vdot = f_1(S)*((1-S)/w(S) - x1s/k + x_1*(1/k - p_1(S)/w(S))) +
+    sum_i x_i*(a_i*f_i(S)*w(S) - f_1(S)*p_i(S)) / w(S)``.
+    The log-well divisor ``k = w(lam)/p_1(lam)`` (``x1s`` for ``w = 1-S``,
+    1 for ``w = p_1``) is the one for which the factor of ``f_1(S)``
+    vanishes at ``S = lam`` for every ``x_1``, as it must where ``f_1``
+    changes sign.
+    """
     _require_normalized(model)
-    _check_state(model, state, len(cs))
+    _check_state(model, state, len(constants))
     lam1, x1s = _winner_data(model)
     f1 = model.species[0].growth
     p1 = model.species[0].uptake
     S, x1 = state[0], state[1]
+    k = weight(lam1) / p1(lam1)
 
-    v = adaptive_simpson(lambda s: f1(s) / p1(s), lam1, S)
-    v += x1 - x1s - x1s * math.log(x1 / x1s)
-    v += sum(c * x for c, x in zip(cs, state[2:]))
+    v = adaptive_simpson(lambda s: f1(s) / weight(s), lam1, S)
+    v += (x1 - x1s - x1s * math.log(x1 / x1s)) / k
+    v += sum(a * x for a, x in zip(constants, state[2:]))
 
-    p1_s = p1(S)
-    vdot = f1(S) * ((1.0 - S) / p1_s - x1s)
-    for c, sp, x in zip(cs, model.species[1:], state[2:]):
-        vdot += x * (c * sp.growth(S) * p1_s - f1(S) * sp.uptake(S)) / p1_s
+    w, f1_s = weight(S), f1(S)
+    vdot = f1_s * ((1.0 - S) / w - x1s / k + x1 * (1.0 / k - p1(S) / w))
+    for a, sp, x in zip(constants, model.species[1:], state[2:]):
+        vdot += x * (a * sp.growth(S) * w - f1_s * sp.uptake(S)) / w
     return v, vdot
 
 
@@ -351,7 +339,7 @@ def asymptotic_checks(model: ChemostatModel, trajectory: Trajectory) -> Asymptot
     washout = tuple(
         (i, final[i])
         for i, sp in enumerate(model.species, start=1)
-        if not break_even(sp.growth, scan_max=10.0).lam < 1.0)
+        if not break_even(sp.growth).lam < 1.0)
     dists = tuple(
         (eq.kind, eq.species_index,
          math.sqrt(sum((a - b) ** 2 for a, b in zip(final, eq.state))))

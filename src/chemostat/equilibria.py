@@ -10,7 +10,6 @@ through it. No Jacobian eigenvalues are computed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .model import (ChemostatModel, ModelError, break_even, p1_curve,
@@ -63,7 +62,7 @@ def enumerate_equilibria(model: ChemostatModel,
 
     out = [make("washout", None, 1.0, (0.0,) * n)]
     for i, sp in enumerate(model.species, start=1):
-        for z in break_even(sp.growth, scan_max=1.0).zeros:
+        for z in break_even(sp.growth).zeros:
             if not 0.0 < z < 1.0:
                 continue
             x = [0.0] * n
@@ -81,7 +80,7 @@ def local_stability_e1(model: ChemostatModel, tol: float = 1e-9) -> str:
     ``tol`` band where the linearization is too degenerate to call.
     """
     _require_normalized(model)
-    lam = break_even(model.species[0].growth, scan_max=1.0).lam
+    lam = break_even(model.species[0].growth).lam
     if not lam < 1.0:
         raise NoEquilibriumError(
             f"species 1 has break-even {lam!r}; no positive equilibrium exists")

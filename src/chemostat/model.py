@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-from . import expr, roots
+from . import roots
 from .expr import Dual, EvalError
 from .scalarfn import (DifferenceFn, ExprFn, MonodFn, PolyFn, QuotientFn,
                        ScalarFn, as_scalar_fn)
@@ -133,7 +133,8 @@ def break_even(growth: ScalarFn, scan_max: float = 1.0,
 
     The scan uses a uniform grid (default 2048 points) and refines each
     bracketed sign change by bisection to ``xtol``. Zeros where the growth
-    rate touches zero without changing sign are not detected.
+    rate touches zero without changing sign are not detected. Every analysis
+    uses the default ``(0, 1]``, the substrate range of a normalized model.
     """
     if scan_max <= 0:
         raise DomainError(f"scan_max must be positive, got {scan_max!r}")
@@ -213,7 +214,12 @@ def p1_curve(model: ChemostatModel, S: float) -> tuple[float, float]:
     _require_normalized(model)
     if not 0.0 < S < 1.0:
         raise DomainError(f"S must lie in (0, 1), got {S!r}")
-    pv, pd = model.species[0].uptake.eval_dual(S)
+    return _nullcline(model.species[0].uptake, S)
+
+
+def _nullcline(uptake: ScalarFn, S: float) -> tuple[float, float]:
+    """Value and slope of the nullcline level ``(1 - S) / p(S)``."""
+    pv, pd = uptake.eval_dual(S)
     r = Dual(1.0 - S, -1.0) / Dual(pv, pd)
     return r.v, r.d
 

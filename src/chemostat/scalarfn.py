@@ -25,9 +25,6 @@ class ScalarFn:
         """Return ``(value, d/dS)`` at ``S``."""
         raise NotImplementedError
 
-    def derivative(self, S: float) -> float:
-        return self.eval_dual(S)[1]
-
     def scaled(self, input_scale: float, output_scale: float) -> "ScalarFn":
         """Return the function ``S -> output_scale * self(input_scale * S)``."""
         raise NotImplementedError

@@ -1,15 +1,19 @@
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chemostat as ch
-from chemostat import (ChemostatModel, DomainError, NotApplicableError,
+from chemostat import (ChemostatModel, DomainError, ExprFn, NotApplicableError,
                        PolyFn, Species, c_crit, certify, check_fiedler_hsu,
                        check_h11, check_h31, check_monod_constant_yields,
                        check_monod_linear_yields, gap_for_species,
-                       hsu_gap_for_species, monod_species, normalize)
+                       hsu_gap_for_species, load_model, monod_species,
+                       normalize)
 from conftest import (monod_params, quadratic_yield_model,
                       random_constant_yield_model, two_species_reference)
 
@@ -20,6 +24,13 @@ def poly(*coeffs):
 
 def single(growth, uptake=poly(0, 1)):
     return normalize(ChemostatModel(1, 1, (Species("s", growth, uptake),)))
+
+
+def with_window_rival(winner, lo, hi):
+    """Add a rival with uptake S whose growth is positive only on (lo, hi)."""
+    growth = ExprFn.from_text(f"-(S-{lo!r})*(S-{hi!r})")
+    return normalize(ChemostatModel(1, 1, (
+        winner, Species("window", growth, poly(0, 1)))))
 
 
 class TestH11:
@@ -231,6 +242,11 @@ class TestFiedlerHsu:
         assert any(p.i == 1 and p.j == 2 for p in failing)
         assert certify(m).verdict == "GAS-certified"
 
+    def test_winner_sign_condition_is_h11(self):
+        path = Path(__file__).resolve().parents[1] / "models" / "two_species.json"
+        rep = certify(normalize(load_model(path)))
+        assert rep.fh_conditions.sign_conditions[0] == rep.h11
+
     def test_no_self_pairs(self, fig_two_species):
         rep = check_fiedler_hsu(fig_two_species)
         assert all(p.i != p.j for p in rep.pairs)
@@ -277,6 +293,15 @@ class TestCertify:
         assert rep.retained == ()
         assert any("washes out" in n for n in rep.notes)
 
+    def test_narrow_window_rival_below_winner_not_certified(self):
+        # The rival grows only on (0.1, 0.102), below the winner's break-even
+        # point 0.15, so its own equilibrium attracts.
+        m = with_window_rival(monod_species(1, 0.1, 0.6), 0.1, 0.102)
+        rep = certify(m)
+        assert rep.verdict != "GAS-certified"
+        assert rep.retained == (2,)
+        assert rep.lambdas[1] == pytest.approx(0.1, abs=1e-9)
+
     def test_two_zero_growth_noted(self):
         m = normalize(ChemostatModel(1, 1, (
             Species("w", poly(-0.1, 1.0), poly(0, 1)),
@@ -309,3 +334,16 @@ class TestCertify:
         m = normalize(ChemostatModel(1, 1, (monod_species(1, 1, 1),)))
         d2 = certify(m).to_dict()
         assert json.loads(json.dumps(d2, allow_nan=False))["lambda1"] == "inf"
+
+
+@settings(max_examples=15, deadline=None)
+@given(lam1=st.floats(0.05, 0.8), a=st.floats(0.9, 1.5), b=st.floats(0.05, 0.3),
+       start=st.floats(0.05, 0.95), width=st.floats(1e-3, 0.3))
+def test_window_rival_below_winner_never_certified(lam1, a, b, start, width):
+    # D chosen so that the winner breaks even at lam1; the rival's window
+    # opens below lam1, so the rival can invade the winner's equilibrium.
+    winner = monod_species(a, b, lam1 * a / (b + lam1))
+    lo = start * lam1
+    rep = certify(with_window_rival(winner, lo, lo + width))
+    assert rep.verdict != "GAS-certified"
+    assert 2 in rep.retained

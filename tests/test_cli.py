@@ -1,6 +1,7 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +40,9 @@ def model_file(tmp_path):
         path.write_text(json.dumps(data))
         return str(path)
     return write
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(*argv):
@@ -111,6 +115,15 @@ class TestAnalyze:
     def test_unknown_flag_rejected(self, model_file):
         with pytest.raises(SystemExit):
             run("analyze", "--model", model_file(FIG4), "--frobnicate")
+
+    @pytest.mark.parametrize("name", ["two_species", "quadratic_yield", "washout"])
+    def test_report_matches_golden(self, name, tmp_path):
+        # Refactors must keep report.json byte for byte; regenerate the
+        # golden file only with a change that means to alter the report.
+        run("analyze", "--model", str(ROOT / "models" / f"{name}.json"),
+            "--out", str(tmp_path))
+        golden = ROOT / "tests" / "golden" / name / "report.json"
+        assert (tmp_path / "report.json").read_bytes() == golden.read_bytes()
 
 
 class TestSimulate:
@@ -193,6 +206,11 @@ class TestCycles:
         disp = (out / "displacement.csv").read_text().splitlines()
         assert disp[0] == "x,x_return,period"
         assert len(disp) >= 18
+
+    def test_integration_flags_rejected(self, model_file):
+        with pytest.raises(SystemExit) as exc:
+            run("cycles", "--model", model_file(FIG2), "--rtol", "1e-6")
+        assert exc.value.code == 2
 
 
 class TestSweep:

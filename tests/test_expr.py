@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chemostat import expr
@@ -151,6 +151,9 @@ def test_unbalanced_parens_rejected(ast, pos, opening):
 
 @settings(max_examples=150, deadline=None)
 @given(_asts, st.floats(min_value=0.02, max_value=0.98))
+# S / (S - 0.102) just below its pole, where the third derivative is ~1e8
+@example(expr.Bin("/", expr.Var(), expr.Bin("-", expr.Var(), expr.Num(0.102))),
+         0.09375)
 def test_dual_matches_central_difference(ast, S):
     h = 1e-5
     try:
@@ -162,5 +165,11 @@ def test_dual_matches_central_difference(ast, S):
     assume(all(abs(x) < 1e6 for x in vals + [v, d]))
     curvature = abs(vals[3] - 2 * v + vals[0])
     assume(curvature < 1e3)
-    fd = (vals[2] - vals[1]) / (2 * h)
+    # fourth-order central stencil: the second-order one's h^2 f'''/6
+    # truncation error alone exceeds the tolerance near a pole
+    fd2 = (vals[2] - vals[1]) / (2 * h)
+    fd = (8 * (vals[2] - vals[1]) - (vals[3] - vals[0])) / (12 * h)
+    # the stencils' disagreement estimates fd2's truncation error; where it is
+    # large, h is not small next to the distance to a pole and fd is unreliable
+    assume(abs(fd2 - fd) <= 1e-4 * max(1.0, abs(fd)))
     assert abs(d - fd) <= 1e-6 * max(1.0, abs(d))
