@@ -11,8 +11,8 @@ from .certificates import (AnalyticRoute, CertificateReport, FiedlerHsuReport,
                            GapAnalysis, SignConditionResult, c_crit, certify,
                            check_fiedler_hsu, check_h11, check_h31,
                            check_monod_constant_yields,
-                           check_monod_linear_yields, gap_for_species,
-                           hsu_gap_for_species)
+                           check_monod_linear_yields, energy_constants,
+                           gap_for_species, hsu_gap_for_species)
 from .cycles import (Cycle, CycleResult, Landmarks, NoReturnError,
                      UnsupportedShapeError, find_cycles, landmarks, return_map)
 from .dynamics import (AsymptoticReport, DecreaseReport, LyapunovSamples,

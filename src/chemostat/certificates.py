@@ -331,14 +331,17 @@ def _gap_analysis(model, i, weight, constant_name, grid_size, delta) -> GapAnaly
     _require_normalized(model)
     if i < 2 or i > model.n_species:
         raise DomainError(f"rival index must be in 2..{model.n_species}, got {i}")
+    if not break_even(model.species[i - 1].growth).lam < 1.0:
+        raise NotApplicableError(
+            f"species {i} cannot break even below the inflow level; "
+            "it washes out and the certificate needs no comparison constant")
+    return _gap_scan(model, i, weight, constant_name, grid_size, delta)
+
+
+def _gap_scan(model, i, weight, constant_name, grid_size, delta) -> GapAnalysis:
     f1 = model.species[0].growth
     sp = model.species[i - 1]
     fi, pi = sp.growth, sp.uptake
-    if not break_even(fi).lam < 1.0:
-        raise NotApplicableError(
-            f"species {i} cannot break even below the inflow level; "
-            "it washes out and needs no comparison constant")
-
     pts = standard_grid(grid_size)
     lower, upper = -math.inf, math.inf
     lower_pt = upper_pt = None
@@ -371,6 +374,38 @@ def _gap_analysis(model, i, weight, constant_name, grid_size, delta) -> GapAnaly
                        feasible=feasible, chosen_alpha=chosen,
                        constant_name=constant_name,
                        lower_point=lower_pt, upper_point=upper_pt, delta=delta)
+
+
+def energy_constants(model: ChemostatModel, report: CertificateReport,
+                     which: str) -> list[float]:
+    """One comparison constant per rival (species 2..N) for an energy function.
+
+    ``which`` is ``"wl"`` (weight ``1 - S``, constants of ``report.gaps``)
+    or ``"hsu"`` (weight ``p_1``, constants of ``report.hsu_gaps``). The
+    report covers retained rivals only, but the energy function has a
+    penalty term for every rival. A rival that washes out gets its constant
+    from the same gap scan on the report's grid; its growth is negative
+    throughout, so only a lower bound can bind. Raises
+    :class:`NotApplicableError` naming the first rival without a feasible
+    constant.
+    """
+    if which == "wl":
+        gaps, weight, name = report.gaps, (lambda s: 1.0 - s), "alpha"
+    elif which == "hsu":
+        gaps, weight, name = report.hsu_gaps, model.species[0].uptake, "c"
+    else:
+        raise DomainError(f"which must be 'wl' or 'hsu', got {which!r}")
+    by_index = {g.species_index: g for g in gaps}
+    constants = []
+    for i in range(2, model.n_species + 1):
+        g = by_index.get(i)
+        if g is None:
+            g = _gap_scan(model, i, weight, name, report.grid_size, report.delta)
+        if not g.feasible:
+            raise NotApplicableError(
+                f"species {i} has no feasible comparison constant {name}")
+        constants.append(g.chosen_alpha)
+    return constants
 
 
 def _choose_constant(lo: float, hi: float) -> float:

@@ -27,8 +27,8 @@ from . import certificates, cycles, dynamics
 from .certificates import (VERDICT_GAS, VERDICT_WASHOUT, certify, c_crit,
                            gi_curve, standard_grid)
 from .expr import ExprError
-from .model import (ChemostatModel, ModelError, model_from_dict,
-                    model_to_dict, normalize)
+from .model import (ChemostatModel, ModelError, NotApplicableError,
+                    model_from_dict, model_to_dict, normalize)
 from .rk45 import StiffnessError
 
 EXIT_OK = 0
@@ -164,12 +164,14 @@ def cmd_simulate(cfg: RunConfig) -> int:
     report = certify(model, grid_size=cfg.grid)
     lyap = {}
     if report.verdict == VERDICT_GAS and all(s > 0 for s in traj.final_state[1:2]):
-        if all(g.feasible for g in report.gaps):
-            alphas = [g.chosen_alpha for g in report.gaps]
-            lyap["wl"] = _try_samples(model, traj, "wl", alphas)
-        if all(g.feasible for g in report.hsu_gaps):
-            cs = [g.chosen_alpha for g in report.hsu_gaps]
-            lyap["hsu"] = _try_samples(model, traj, "hsu", cs)
+        for which in ("wl", "hsu"):
+            try:
+                constants = certificates.energy_constants(model, report, which)
+            except NotApplicableError as e:
+                print(f"note: lyapunov.csv has no {which} energy: {e}",
+                      file=sys.stderr)
+                continue
+            lyap[which] = _try_samples(model, traj, which, constants)
     lyap = {k: v for k, v in lyap.items() if v is not None}
 
     with open(os.path.join(cfg.output_dir, "trajectory.csv"), "w",

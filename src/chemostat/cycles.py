@@ -24,7 +24,7 @@ from . import roots
 from .equilibria import NoEquilibriumError
 from .model import (ChemostatModel, DomainError, ModelError, Species,
                     break_even, vector_field, _nullcline, _require_normalized)
-from .rk45 import DormandPrince54, fixed_step
+from .rk45 import DormandPrince54
 
 TANGENT_TOL = 1e-10
 TIME_TOL = 1e-10
@@ -133,57 +133,62 @@ def return_map(model: ChemostatModel, x_start: float,
     """First return to the section ``S = lambda`` with matching direction.
 
     Integrates from ``(lambda, x_start)`` until the trajectory crosses the
-    section again moving the same way it left (same sign of S'). Crossing
-    times are refined by bisection over the last accepted step to a time
-    tolerance of 1e-10; tangential crossings (|S'| <= 1e-10) are skipped.
-    Starting on the nullcline itself is reported as an immediate fixed
-    point with period 0. Raises :class:`NoReturnError` after ``t_max``.
+    section again moving the same way it left (same sign of S'), and
+    returns that crossing's ``x`` and time. Each crossing is located to a
+    time tolerance of 1e-10 on the dense output of the accepted step that
+    contains it, without re-integrating; tangential crossings
+    (|S'| <= 1e-10) are skipped. Starting on the nullcline itself is
+    reported as an immediate fixed point with period 0. Raises
+    :class:`NoReturnError` after ``t_max``.
     """
+    x_return, period, _ = _first_return(model, x_start, rtol, atol, t_max)
+    return x_return, period
+
+
+def _first_return(model, x_start, rtol, atol, t_max):
+    """``(x, t)`` of the first same-direction return and the ``x`` of every
+    transversal crossing up to it, starting with ``x_start``."""
     _, lam, _ = _section_data(model)
     if x_start <= 0.0:
         raise DomainError(f"x_start must be positive, got {x_start!r}")
     rhs = vector_field(model)
     s_dot0 = rhs(0.0, [lam, x_start])[0]
     if abs(s_dot0) <= TANGENT_TOL:
-        return x_start, 0.0
-    direction = 1.0 if s_dot0 > 0.0 else -1.0
+        return x_start, 0.0, [x_start]
+    crossings = [x_start]
+    for t_c, x_c, s_dot in _crossings(rhs, lam, x_start, rtol, atol, t_max):
+        crossings.append(x_c)
+        if (s_dot > 0.0) == (s_dot0 > 0.0):
+            return x_c, t_c, crossings
 
+
+def _crossings(rhs, lam, x_start, rtol, atol, t_max):
+    """Yield ``(t, x, S')`` at each transversal crossing of ``S = lam`` by
+    the orbit from ``(lam, x_start)``; raise NoReturnError at ``t_max``.
+
+    A crossing is bracketed by the sign of ``S - lam`` at the ends of an
+    accepted step and located to ``TIME_TOL`` on the step's dense output,
+    which costs no right-hand-side calls; one call at the crossing gives
+    the S' that tells its direction and rules out tangency.
+    """
     stepper = DormandPrince54(rhs, 0.0, [lam, x_start], rtol=rtol, atol=atol)
     g_prev = 0.0
     while stepper.step(t_max):
         g_new = stepper.y[0] - lam
         if g_prev != 0.0 and (g_new == 0.0 or (g_new > 0.0) != (g_prev > 0.0)):
-            t_c, y_c = _refine_crossing(rhs, lam, stepper.t_prev,
-                                        stepper.y_prev, stepper.t, stepper.y)
+            if g_new == 0.0:
+                t_c, y_c = stepper.t, stepper.y
+            else:
+                state = stepper.dense_output()
+                t_c = roots.brent_root(lambda t: state(t)[0] - lam,
+                                       stepper.t_prev, stepper.t,
+                                       g_prev, g_new, xtol=TIME_TOL)
+                y_c = state(t_c)
             s_dot = rhs(t_c, y_c)[0]
-            if abs(s_dot) > TANGENT_TOL and (s_dot > 0.0) == (direction > 0.0):
-                return y_c[1], t_c
+            if abs(s_dot) > TANGENT_TOL:
+                yield t_c, y_c[1], s_dot
         g_prev = g_new
     raise NoReturnError(t_max, list(stepper.y))
-
-
-def _refine_crossing(rhs, lam, t_lo, y_lo, t_hi, y_hi):
-    """Bisect the crossing time of S = lam inside one accepted step."""
-    g_lo = y_lo[0] - lam
-    g_hi = y_hi[0] - lam
-    if g_hi == 0.0:
-        return t_hi, list(y_hi)
-    y_mid = list(y_hi)
-    t_mid = t_hi
-    while t_hi - t_lo > TIME_TOL:
-        t_mid = 0.5 * (t_lo + t_hi)
-        if t_mid == t_lo or t_mid == t_hi:
-            break
-        y_mid = fixed_step(rhs, t_lo, y_lo, t_mid - t_lo)
-        g_mid = y_mid[0] - lam
-        if g_mid == 0.0:
-            return t_mid, y_mid
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            # advance the anchor so later fixed steps stay short
-            t_lo, y_lo, g_lo = t_mid, y_mid, g_mid
-        else:
-            t_hi, g_hi = t_mid, g_mid
-    return t_mid, y_mid
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +219,11 @@ def find_cycles(model: ChemostatModel, x_lo: float | None = None,
 
     The displacement ``R(x) - x`` of the return map is scanned on a grid
     over ``[x_lo, x_hi]`` (default ``[0.01, 20]`` times the equilibrium
-    level); each sign change is refined by bisection. The cell containing
-    the equilibrium is replaced by two geometric sub-grids closing in on it
-    from both sides, so small cycles are still resolved, and fixed points
-    within the equilibrium's exclusion neighborhood are discarded. Fixed
+    level); each sign change is refined by Brent's method. The cell
+    containing the equilibrium is replaced by two geometric sub-grids
+    closing in on it from both sides, so small cycles are still resolved,
+    and fixed points within the equilibrium's exclusion neighborhood are
+    discarded. Fixed
     points lying on the same orbit are merged into a single cycle; stability
     comes from the return-map slope (marginal within 1e-3 of unity).
     Grid points whose trajectory never returns are skipped.
@@ -267,8 +273,8 @@ def find_cycles(model: ChemostatModel, x_lo: float | None = None,
     fixed = []
     for (a, da, b, db) in brackets:
         try:
-            root = roots.bisect_root(displacement_strict, a, b, da, db,
-                                     xtol=refine_tol)
+            root = roots.brent_root(displacement_strict, a, b, da, db,
+                                    xtol=refine_tol)
         except NoReturnError:
             continue
         if abs(root - x_star) > exclusion:
@@ -298,7 +304,7 @@ def _scan_points(x_lo, x_hi, n_grid, x_star, exclusion) -> list[float]:
 def _classify_and_merge(model, fixed, x_star, rtol, atol, t_max) -> list[Cycle]:
     records = []
     for x in fixed:
-        _, period = return_map(model, x, rtol=rtol, atol=atol, t_max=t_max)
+        _, period, crossings = _first_return(model, x, rtol, atol, t_max)
         h = 1e-4 * max(1.0, abs(x))
         r_plus = return_map(model, x + h, rtol=rtol, atol=atol, t_max=t_max)[0]
         r_minus = return_map(model, x - h, rtol=rtol, atol=atol, t_max=t_max)[0]
@@ -309,7 +315,6 @@ def _classify_and_merge(model, fixed, x_star, rtol, atol, t_max) -> list[Cycle]:
             stability = "stable"
         else:
             stability = "unstable"
-        crossings = _orbit_crossings(model, x, period, rtol, atol)
         records.append({"x": x, "period": period, "stability": stability,
                         "multiplier": slope, "crossings": crossings})
 
@@ -346,21 +351,3 @@ def _cluster(values, rel_tol: float = 1e-5) -> list[float]:
             continue
         out.append(v)
     return out
-
-
-def _orbit_crossings(model, x0, period, rtol, atol) -> list[float]:
-    """Section crossings (either direction) over one period from (lam, x0)."""
-    _, lam, _ = _section_data(model)
-    rhs = vector_field(model)
-    stepper = DormandPrince54(rhs, 0.0, [lam, x0], rtol=rtol, atol=atol)
-    crossings = [x0]
-    g_prev = 0.0
-    while stepper.step(period * 1.0001):
-        g_new = stepper.y[0] - lam
-        if g_prev != 0.0 and (g_new == 0.0 or (g_new > 0.0) != (g_prev > 0.0)):
-            _, y_c = _refine_crossing(rhs, lam, stepper.t_prev, stepper.y_prev,
-                                      stepper.t, stepper.y)
-            if abs(rhs(0.0, y_c)[0]) > TANGENT_TOL:
-                crossings.append(y_c[1])
-        g_prev = g_new
-    return crossings

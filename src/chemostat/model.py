@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 from . import roots
 from .expr import Dual, EvalError
 from .scalarfn import (DifferenceFn, ExprFn, MonodFn, PolyFn, QuotientFn,
-                       ScalarFn, as_scalar_fn)
+                       ScalarFn, Source, as_scalar_fn)
 
 
 class ModelError(ValueError):
@@ -225,22 +225,25 @@ def _nullcline(uptake: ScalarFn, S: float) -> tuple[float, float]:
 
 
 def vector_field(model: ChemostatModel) -> Callable[[float, Sequence[float]], list[float]]:
-    """Right-hand side ``(t, [S, x_1..x_N]) -> [S', x_1'..x_N']``."""
-    growth = [sp.growth for sp in model.species]
-    uptake = [sp.uptake for sp in model.species]
-    d, s0 = model.dilution, model.inflow
+    """Right-hand side ``(t, [S, x_1..x_N]) -> [S', x_1'..x_N']``.
 
-    def rhs(t: float, y: Sequence[float]) -> list[float]:
-        S = y[0]
-        out = [d * (s0 - S)]
-        acc = 0.0
-        for f, p, x in zip(growth, uptake, y[1:]):
-            acc += p(S) * x
-            out.append(f(S) * x)
-        out[0] -= acc
-        return out
-
-    return rhs
+    Compiled into one function from the species' shapes (see
+    :meth:`ScalarFn.emit`). It evaluates ``p_1, f_1, p_2, f_2, ...`` with
+    the same floating-point operations in the same order as calling each
+    ScalarFn, so its results are bit-identical to that loop. A state with
+    other than ``N + 1`` components raises ``ValueError``.
+    """
+    src = Source()
+    xs = [f"x{i}" for i in range(1, model.n_species + 1)]
+    src.lines.append(f"S, {', '.join(xs)}, = y")
+    uptake_terms, growth_terms = [], []
+    for sp, x in zip(model.species, xs):
+        uptake_terms.append(f" + {sp.uptake.emit(src)} * {x}")
+        growth_terms.append(f", {sp.growth.emit(src)} * {x}")
+    d, s0 = src.bind(model.dilution), src.bind(model.inflow)
+    src.lines.append(f"return [{d} * ({s0} - S) - (0.0{''.join(uptake_terms)})"
+                     f"{''.join(growth_terms)}]")
+    return src.compile("t, y")
 
 
 def _require_normalized(model: ChemostatModel) -> None:

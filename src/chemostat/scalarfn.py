@@ -5,6 +5,10 @@ propagates d/dS through dual numbers. Four concrete shapes cover everything
 the model layer needs: saturating (Michaelis-Menten style) rate laws,
 polynomials, quotients and differences of other scalar functions, and parsed
 expression trees.
+
+Each shape can also write itself as straight-line Python source
+(:class:`Source`), which the model layer compiles into one fused
+right-hand side.
 """
 
 from __future__ import annotations
@@ -13,6 +17,38 @@ from dataclasses import dataclass
 
 from . import expr
 from .expr import Dual, EvalError
+
+
+class Source:
+    """Python source of one generated function, built statement by statement.
+
+    Shapes append one statement per evaluation in the order their
+    ``__call__`` performs it, so the compiled function does the same
+    floating-point operations in the same order and raises the same errors.
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.env: dict = {"EvalError": EvalError}
+
+    def bind(self, value) -> str:
+        """A name under which the generated code reads ``value``."""
+        name = f"c{len(self.env)}"
+        self.env[name] = value
+        return name
+
+    def assign(self, expression: str) -> str:
+        """Evaluate ``expression`` into a fresh local and return its name."""
+        name = f"v{len(self.lines)}"
+        self.lines.append(f"{name} = {expression}")
+        return name
+
+    def compile(self, signature: str):
+        """Compile the statements as ``def f(<signature>)`` and return it."""
+        body = "".join(f"    {line}\n" for line in self.lines)
+        code = compile(f"def f({signature}):\n{body}", "<generated>", "exec")
+        exec(code, self.env)
+        return self.env["f"]
 
 
 class ScalarFn:
@@ -29,6 +65,14 @@ class ScalarFn:
         """Return the function ``S -> output_scale * self(input_scale * S)``."""
         raise NotImplementedError
 
+    def emit(self, src: Source) -> str:
+        """Append the evaluation at ``S`` to ``src``; return the result's name.
+
+        The default calls the function as it is; shapes with a closed form
+        write it inline.
+        """
+        return src.assign(f"{src.bind(self)}(S)")
+
 
 @dataclass(frozen=True)
 class MonodFn(ScalarFn):
@@ -39,6 +83,9 @@ class MonodFn(ScalarFn):
 
     def __call__(self, S: float) -> float:
         return self.a * S / (self.b + S)
+
+    def emit(self, src: Source) -> str:
+        return src.assign(f"{src.bind(self.a)} * S / ({src.bind(self.b)} + S)")
 
     def eval_dual(self, S: float) -> tuple[float, float]:
         s = Dual(S, 1.0)
@@ -62,6 +109,12 @@ class PolyFn(ScalarFn):
         for c in reversed(self.coeffs):
             acc = acc * S + c
         return acc
+
+    def emit(self, src: Source) -> str:
+        acc = "0.0"
+        for c in reversed(self.coeffs):
+            acc = f"({acc} * S + {src.bind(c)})"
+        return src.assign(acc)
 
     def eval_dual(self, S: float) -> tuple[float, float]:
         s = Dual(S, 1.0)
@@ -89,6 +142,12 @@ class QuotientFn(ScalarFn):
             raise EvalError("division by zero in quotient", S)
         return self.num(S) / d
 
+    def emit(self, src: Source) -> str:
+        d = self.den.emit(src)
+        src.lines.append(f"if {d} == 0.0: "
+                         "raise EvalError('division by zero in quotient', S)")
+        return src.assign(f"{self.num.emit(src)} / {d}")
+
     def eval_dual(self, S: float) -> tuple[float, float]:
         dv, dd = self.den.eval_dual(S)
         if dv == 0.0:
@@ -110,6 +169,10 @@ class DifferenceFn(ScalarFn):
 
     def __call__(self, S: float) -> float:
         return self.left(S) - self.right(S)
+
+    def emit(self, src: Source) -> str:
+        left = self.left.emit(src)
+        return src.assign(f"{left} - {self.right.emit(src)}")
 
     def eval_dual(self, S: float) -> tuple[float, float]:
         lv, ld = self.left.eval_dual(S)

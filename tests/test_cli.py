@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from chemostat import cli
+from chemostat import (certify, cli, integrate, model_from_dict, normalize,
+                       verify_decrease)
+from chemostat.certificates import energy_constants, standard_grid
 from chemostat.rk45 import StiffnessError
 
 FIG4 = {
@@ -165,6 +167,53 @@ class TestSimulate:
         last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
         assert float(last[1]) == pytest.approx(1.0, abs=1e-5)  # S -> inflow
         assert float(last[2]) < 1e-6
+
+    @pytest.mark.parametrize("name", ["two_species", "quadratic_yield", "washout"])
+    def test_outputs_match_golden(self, name, tmp_path):
+        # The stepper and the right-hand side must keep every trajectory bit
+        # for bit; regenerate these files only with a change that means to
+        # alter the numbers.
+        run("simulate", "--model", str(ROOT / "models" / f"{name}.json"),
+            "--out", str(tmp_path))
+        golden = ROOT / "tests" / "golden" / name
+        for csv in ("trajectory.csv", "lyapunov.csv"):
+            assert (tmp_path / csv).exists() == (golden / csv).exists()
+            if (golden / csv).exists():
+                assert (tmp_path / csv).read_bytes() == (golden / csv).read_bytes()
+
+    def test_washout_rival_keeps_lyapunov(self, model_file, tmp_path):
+        # GAS-certified with a rival that cannot break even: the report has
+        # no gap for it, yet the energy function needs its constant too
+        data = {"D": 1.0, "S0": 1.0, "species": [
+            {"label": "winner", "monod": {"a": 1, "b": 0.1, "Di": 0.6}},
+            {"label": "rival", "monod": {"a": 1, "b": 1, "Di": 1}}]}
+        out = tmp_path / "sim"
+        assert run("simulate", "--model", model_file(data), "--out", str(out)) == 0
+        header = (out / "lyapunov.csv").read_text().splitlines()[0]
+        assert header == "t,V_hsu,Vdot_hsu,V_wl,Vdot_wl"
+        model = normalize(model_from_dict(data))
+        report = certify(model)
+        assert report.verdict == "GAS-certified" and report.retained == ()
+        traj = integrate(model, [0.5, 0.1, 0.1], 500.0)
+        for which in ("wl", "hsu"):
+            constants = energy_constants(model, report, which)
+            assert verify_decrease(model, traj, which, constants).ok
+
+    def test_infeasible_rival_constant_is_noted(self, model_file, tmp_path,
+                                                capsys):
+        # the washed-out rival's growth -(S-c)^2 vanishes at a grid point
+        # below lambda_1 = 0.15, where no constant can dominate it
+        c = standard_grid()[205]
+        data = {"D": 1.0, "S0": 1.0, "constants": {"c": c}, "species": [
+            {"label": "winner", "monod": {"a": 1, "b": 0.1, "Di": 0.6}},
+            {"label": "rival", "growth": "-(S-c)^2", "uptake": "S"}]}
+        out = tmp_path / "sim"
+        assert run("simulate", "--model", model_file(data), "--out", str(out)) == 0
+        assert (out / "trajectory.csv").exists()
+        assert not (out / "lyapunov.csv").exists()
+        err = capsys.readouterr().err
+        assert "no wl energy: species 2 has no feasible" in err
+        assert "no hsu energy: species 2 has no feasible" in err
 
     def test_stiffness_exit_four(self, model_file, tmp_path, monkeypatch):
         def boom(*a, **k):

@@ -6,6 +6,7 @@ import chemostat as ch
 from chemostat import (ChemostatModel, NoEquilibriumError, NoReturnError,
                        PolyFn, UnsupportedShapeError, find_cycles, integrate,
                        landmarks, monod_species, normalize, return_map)
+from chemostat import cycles, rk45
 from chemostat.rk45 import fixed_step
 from conftest import focus_gas_model, quadratic_yield_model
 
@@ -166,3 +167,39 @@ class TestFindCycles:
         assert len(quadratic_cycles.displacement) >= 64
         xs = [x for x, _, _ in quadratic_cycles.displacement]
         assert xs == sorted(xs)
+
+
+def test_cycle_search_cost(fig_quadratic, monkeypatch):
+    # Work of the reference search, which bisection on fixed-step refined
+    # crossings put at 227 integrations and 904,467 right-hand-side calls.
+    counts = {"integrations": 0, "rhs_calls": 0, "fixed_steps": 0}
+    init = rk45.DormandPrince54.__init__
+
+    def counting_init(self, *args, **kwargs):
+        counts["integrations"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_vector_field(model):
+        rhs = ch.vector_field(model)
+
+        def counted(t, y):
+            counts["rhs_calls"] += 1
+            return rhs(t, y)
+        return counted
+
+    def counting_fixed_step(*args):
+        counts["fixed_steps"] += 1
+        return fixed_step(*args)
+
+    monkeypatch.setattr(rk45.DormandPrince54, "__init__", counting_init)
+    monkeypatch.setattr(cycles, "vector_field", counting_vector_field)
+    monkeypatch.setattr(rk45, "fixed_step", counting_fixed_step)
+    monkeypatch.setattr(cycles, "fixed_step", counting_fixed_step, raising=False)
+    res = find_cycles(fig_quadratic)
+    assert counts["integrations"] <= 155
+    assert counts["rhs_calls"] <= 650_000
+    assert counts["fixed_steps"] == 0
+    inner, outer = res.fixed_points
+    assert (inner.stability, outer.stability) == ("unstable", "stable")
+    assert inner.x_section == pytest.approx(7.8044, abs=2e-3)
+    assert outer.x_section == pytest.approx(8.5954, abs=2e-3)
