@@ -595,9 +595,10 @@ def certify(model: ChemostatModel, grid_size: int = GRID_SIZE,
     wash out on their own and are excluded from the gap analyses (they stay
     in the model for simulation). The verdict is ``GAS-certified`` when the
     two sign conditions hold and every retained rival admits a comparison
-    constant, or when a closed-form route certifies; otherwise it reflects
-    the local stability of the winner's equilibrium. With no species able to
-    break even, only washout remains.
+    constant, or when a closed-form route certifies, unless the winner's
+    equilibrium is linearly unstable; otherwise it reflects the local
+    stability of that equilibrium. With no species able to break even, only
+    washout remains.
     """
     _require_normalized(model)
     notes: list[str] = []
@@ -651,15 +652,18 @@ def certify(model: ChemostatModel, grid_size: int = GRID_SIZE,
 
     numeric_ok = h11.holds and h31.holds and all(g.feasible for g in gaps)
     analytic_ok = any(r.certified for r in analytic)
-    if numeric_ok or analytic_ok:
+    if local == "unstable":
+        verdict = VERDICT_UNSTABLE
+        if numeric_ok or analytic_ok:
+            notes.append("the certificate conditions held on the grid, but the "
+                         "winner's equilibrium is linearly unstable")
+    elif numeric_ok or analytic_ok:
         verdict = VERDICT_GAS
         for i in retained:
             if not lam1 < lambdas[i - 1]:
                 raise RuntimeError(
                     f"internal inconsistency: certified although species {i} "
                     f"breaks even at {lambdas[i - 1]!r} <= {lam1!r}")
-    elif local == "unstable":
-        verdict = VERDICT_UNSTABLE
     else:
         verdict = VERDICT_UNCERTIFIED
 

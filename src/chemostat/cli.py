@@ -251,7 +251,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
     reports = [run(combo) for combo in combos]
 
-    n = len(normalize(model_from_dict(json.loads(json.dumps(base)))).species)
+    n = len(reports[0].lambdas)
     header = list(keys) + ["verdict"]
     for i in range(2, n + 1):
         header += [f"gap{i}_lower", f"gap{i}_upper", f"gap{i}_feasible"]

@@ -196,7 +196,7 @@ def _crossings(rhs, lam, x_start, rtol, atol, t_max):
 
 @dataclass(frozen=True)
 class Cycle:
-    x_section: float  # representative section coordinate (largest crossing)
+    x_section: float  # the largest fixed point the scan found on this orbit
     period: float
     stability: str  # "stable" | "unstable" | "marginal"
     multiplier: float  # return-map slope at the fixed point

@@ -6,8 +6,9 @@ with ``^`` right-associative and the rest left-associative. ``exp``, ``ln``
 and ``sqrt`` are built in; any other identifier must be bound to a numeric
 constant at parse time. Exponents must not depend on ``S``.
 
-Evaluation propagates first derivatives with dual numbers, so every parsed
-expression yields both its value and an exact d/dS.
+:func:`eval_value` walks the tree to evaluate it. :func:`emit` writes the
+same evaluation as Python source, optionally with an exact d/dS next to
+every value; ``scalarfn.ExprFn`` compiles that source.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class Call:
 
 Node = Num | Var | Neg | Bin | Call
 
-FUNCTIONS = ("exp", "ln", "sqrt")
+# name -> the function it calls
+FUNCTIONS = {"exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
 
 
 def contains_var(node: Node) -> bool:
@@ -275,51 +277,6 @@ def to_text(node: Node, _context: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Dual numbers
-
-@dataclass(frozen=True)
-class Dual:
-    """First-order dual number ``v + d*eps`` for forward-mode derivatives."""
-
-    v: float
-    d: float = 0.0
-
-    def __add__(self, other):
-        o = _as_dual(other)
-        return Dual(self.v + o.v, self.d + o.d)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_dual(other)
-        return Dual(self.v - o.v, self.d - o.d)
-
-    def __rsub__(self, other):
-        o = _as_dual(other)
-        return Dual(o.v - self.v, o.d - self.d)
-
-    def __mul__(self, other):
-        o = _as_dual(other)
-        return Dual(self.v * o.v, self.v * o.d + self.d * o.v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_dual(other)
-        return Dual(self.v / o.v, (self.d * o.v - self.v * o.d) / (o.v * o.v))
-
-    def __rtruediv__(self, other):
-        return _as_dual(other).__truediv__(self)
-
-    def __neg__(self):
-        return Dual(-self.v, -self.d)
-
-
-def _as_dual(x) -> Dual:
-    return x if isinstance(x, Dual) else Dual(float(x))
-
-
-# ---------------------------------------------------------------------------
 # Evaluation
 
 def eval_value(node: Node, S: float) -> float:
@@ -358,51 +315,6 @@ def eval_value(node: Node, S: float) -> float:
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def eval_dual(node: Node, S: float) -> tuple[float, float]:
-    """Evaluate at ``S`` returning ``(value, d/dS)`` via dual numbers."""
-    r = _eval_dual(node, S, Dual(S, 1.0))
-    return r.v, r.d
-
-
-def _eval_dual(node: Node, S: float, s: Dual) -> Dual:
-    if isinstance(node, Num):
-        return Dual(node.value)
-    if isinstance(node, Var):
-        return s
-    if isinstance(node, Neg):
-        return -_eval_dual(node.arg, S, s)
-    if isinstance(node, Bin):
-        a = _eval_dual(node.left, S, s)
-        if node.op == "^":
-            return _pow_dual(a, eval_value(node.right, S), S)
-        b = _eval_dual(node.right, S, s)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b.v == 0.0:
-            raise EvalError("division by zero", S)
-        return a / b
-    if isinstance(node, Call):
-        a = _eval_dual(node.arg, S, s)
-        if node.name == "exp":
-            e = math.exp(a.v)
-            return Dual(e, a.d * e)
-        if node.name == "ln":
-            if a.v <= 0.0:
-                raise EvalError("ln of non-positive value", S)
-            return Dual(math.log(a.v), a.d / a.v)
-        if a.v < 0.0:
-            raise EvalError("sqrt of negative value", S)
-        r = math.sqrt(a.v)
-        if a.v == 0.0:
-            return Dual(0.0, 0.0 if a.d == 0.0 else math.inf)
-        return Dual(r, 0.5 * a.d / r)
-    raise TypeError(f"not an AST node: {node!r}")
-
-
 def _pow_value(base: float, expo: float, S: float) -> float:
     if float(expo).is_integer():
         e = int(expo)
@@ -414,14 +326,57 @@ def _pow_value(base: float, expo: float, S: float) -> float:
     return base ** expo
 
 
-def _pow_dual(base: Dual, expo: float, S: float) -> Dual:
-    v = _pow_value(base.v, expo, S)
+def _pow_slope(base: float, slope: float, expo: float) -> float:
+    """d/dS of ``base ** expo`` from the base's value and slope."""
     if expo == 0.0:
-        return Dual(1.0, 0.0)
+        return 0.0
     if float(expo).is_integer():
         e = int(expo)
-        if base.v == 0.0:
-            # v = 0 for e >= 1; derivative only non-trivial when e == 1
-            return Dual(v, base.d if e == 1 else 0.0)
-        return Dual(v, expo * base.v ** (e - 1) * base.d)
-    return Dual(v, expo * base.v ** (expo - 1.0) * base.d)
+        if base == 0.0:
+            # the power is 0 for e >= 1; its slope is non-trivial only for e == 1
+            return slope if e == 1 else 0.0
+        return expo * base ** (e - 1) * slope
+    return expo * base ** (expo - 1.0) * slope
+
+
+def emit(node: Node, src, slopes: bool = False) -> tuple:
+    """Append the evaluation of ``node`` to ``src``, a ``scalarfn.Source``,
+    and return the result's ``(value, slope)`` term (slope ``None`` unless
+    ``slopes``). Values follow :func:`eval_value`, errors included; slopes
+    follow the dual-number rules, whose ``sqrt`` at a zero argument is
+    ``+0.0`` with slope 0 or ``inf``."""
+    if isinstance(node, Num):
+        return src.bind(node.value), ("0.0" if slopes else None)
+    if isinstance(node, Var):
+        return "S", ("1.0" if slopes else None)
+    if isinstance(node, Neg):
+        v, d = emit(node.arg, src, slopes)
+        return src.assign(f"-{v}"), (src.assign(f"-{d}") if slopes else None)
+    if isinstance(node, Bin):
+        a = emit(node.left, src, slopes)
+        if node.op == "^":
+            expo, _ = emit(node.right, src)
+            v = src.assign(f"{src.bind(_pow_value)}({a[0]}, {expo}, S)")
+            if not slopes:
+                return v, None
+            return v, src.assign(f"{src.bind(_pow_slope)}({a[0]}, {a[1]}, {expo})")
+        b = emit(node.right, src, slopes)
+        if node.op == "/":
+            src.check(f"{b[0]} == 0.0", "division by zero")
+        return src.binary(node.op, a, b)
+    if isinstance(node, Call):
+        a, d = emit(node.arg, src, slopes)
+        fn = src.bind(FUNCTIONS[node.name])
+        if node.name == "exp":
+            v = src.assign(f"{fn}({a})")
+            return v, (src.assign(f"{d} * {v}") if slopes else None)
+        if node.name == "ln":
+            src.check(f"{a} <= 0.0", "ln of non-positive value")
+            return src.assign(f"{fn}({a})"), (src.assign(f"{d} / {a}") if slopes else None)
+        src.check(f"{a} < 0.0", "sqrt of negative value")
+        if not slopes:
+            return src.assign(f"{fn}({a})"), None
+        v = src.assign(f"{fn}({a}) if {a} != 0.0 else 0.0")
+        return v, src.assign(f"0.5 * {d} / {v} if {a} != 0.0 "
+                             f"else 0.0 if {d} == 0.0 else {src.bind(math.inf)}")
+    raise TypeError(f"not an AST node: {node!r}")

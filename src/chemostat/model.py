@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from . import roots
-from .expr import Dual, EvalError
+from .expr import EvalError
 from .scalarfn import (DifferenceFn, ExprFn, MonodFn, PolyFn, QuotientFn,
                        ScalarFn, Source, as_scalar_fn)
 
@@ -220,8 +220,8 @@ def p1_curve(model: ChemostatModel, S: float) -> tuple[float, float]:
 def _nullcline(uptake: ScalarFn, S: float) -> tuple[float, float]:
     """Value and slope of the nullcline level ``(1 - S) / p(S)``."""
     pv, pd = uptake.eval_dual(S)
-    r = Dual(1.0 - S, -1.0) / Dual(pv, pd)
-    return r.v, r.d
+    q = 1.0 - S
+    return q / pv, (-pv - q * pd) / (pv * pv)
 
 
 def vector_field(model: ChemostatModel) -> Callable[[float, Sequence[float]], list[float]]:
@@ -238,8 +238,8 @@ def vector_field(model: ChemostatModel) -> Callable[[float, Sequence[float]], li
     src.lines.append(f"S, {', '.join(xs)}, = y")
     uptake_terms, growth_terms = [], []
     for sp, x in zip(model.species, xs):
-        uptake_terms.append(f" + {sp.uptake.emit(src)} * {x}")
-        growth_terms.append(f", {sp.growth.emit(src)} * {x}")
+        uptake_terms.append(f" + {sp.uptake.emit(src)[0]} * {x}")
+        growth_terms.append(f", {sp.growth.emit(src)[0]} * {x}")
     d, s0 = src.bind(model.dilution), src.bind(model.inflow)
     src.lines.append(f"return [{d} * ({s0} - S) - (0.0{''.join(uptake_terms)})"
                      f"{''.join(growth_terms)}]")
@@ -271,10 +271,8 @@ def _require_normalized(model: ChemostatModel) -> None:
 # forms keep the model eligible for the closed-form certificate routes.
 
 def scalar_fn_from_spec(spec, constants: dict[str, float] | None = None) -> ScalarFn:
-    if isinstance(spec, (int, float)):
-        return PolyFn((float(spec),))
-    if isinstance(spec, str):
-        return ExprFn.from_text(spec, constants)
+    if isinstance(spec, (int, float, str)):
+        return as_scalar_fn(spec, constants)
     if isinstance(spec, dict) and len(spec) == 1:
         (kind, body), = spec.items()
         if kind == "monod":

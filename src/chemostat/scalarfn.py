@@ -1,22 +1,33 @@
 """Scalar functions of the substrate with exact first derivatives.
 
-A :class:`ScalarFn` is an immutable, evaluable function of ``S`` that also
-propagates d/dS through dual numbers. Four concrete shapes cover everything
-the model layer needs: saturating (Michaelis-Menten style) rate laws,
-polynomials, quotients and differences of other scalar functions, and parsed
-expression trees.
+A :class:`ScalarFn` is an immutable, evaluable function of ``S``. Five
+shapes cover everything the model layer needs: saturating (Michaelis-Menten
+style) rate laws, polynomials, quotients and differences of other scalar
+functions, and parsed expression trees.
 
-Each shape can also write itself as straight-line Python source
-(:class:`Source`), which the model layer compiles into one fused
-right-hand side.
+Each shape's ``__call__`` is the reference evaluation. Each shape also
+writes itself as straight-line Python source (:class:`Source`), either the
+value alone, which the model layer compiles into one fused right-hand side,
+or the value with its exact d/dS, which ``eval_dual`` compiles once per
+function object.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import expr
-from .expr import Dual, EvalError
+from .expr import EvalError
+
+# d/dS of ``a op b`` from the values and slopes of a and b, as forward-mode
+# dual-number arithmetic computes it
+_SLOPE_RULES = {"+": "{ad} + {bd}", "-": "{ad} - {bd}",
+                "*": "{av} * {bd} + {ad} * {bv}",
+                "/": "({ad} * {bv} - {av} * {bd}) / ({bv} * {bv})"}
+
+# The substrate as a (value, slope) term.
+_VAR = ("S", "1.0")
 
 
 class Source:
@@ -25,6 +36,8 @@ class Source:
     Shapes append one statement per evaluation in the order their
     ``__call__`` performs it, so the compiled function does the same
     floating-point operations in the same order and raises the same errors.
+    A term is a ``(value, slope)`` pair of names; the slope is ``None`` when
+    only values are emitted.
     """
 
     def __init__(self):
@@ -43,6 +56,18 @@ class Source:
         self.lines.append(f"{name} = {expression}")
         return name
 
+    def check(self, condition: str, message: str) -> None:
+        """Raise ``EvalError(message, S)`` where ``condition`` holds."""
+        self.lines.append(f"if {condition}: raise EvalError({message!r}, S)")
+
+    def binary(self, op: str, a: tuple, b: tuple) -> tuple:
+        """The term ``a op b``: its value, then its slope if ``a`` has one."""
+        (av, ad), (bv, bd) = a, b
+        v = self.assign(f"{av} {op} {bv}")
+        if ad is None:
+            return v, None
+        return v, self.assign(_SLOPE_RULES[op].format(av=av, ad=ad, bv=bv, bd=bd))
+
     def compile(self, signature: str):
         """Compile the statements as ``def f(<signature>)`` and return it."""
         body = "".join(f"    {line}\n" for line in self.lines)
@@ -52,10 +77,9 @@ class Source:
 
 
 class ScalarFn:
-    """Base class; subclasses implement ``__call__``, ``eval_dual``, ``scaled``."""
-
-    def __call__(self, S: float) -> float:
-        raise NotImplementedError
+    """Base class; subclasses implement ``__call__`` (the reference value at
+    ``S``), ``emit``, ``scaled`` and an ``eval_dual`` that calls
+    ``_with_slope``."""
 
     def eval_dual(self, S: float) -> tuple[float, float]:
         """Return ``(value, d/dS)`` at ``S``."""
@@ -65,13 +89,18 @@ class ScalarFn:
         """Return the function ``S -> output_scale * self(input_scale * S)``."""
         raise NotImplementedError
 
-    def emit(self, src: Source) -> str:
-        """Append the evaluation at ``S`` to ``src``; return the result's name.
+    def emit(self, src: Source, slopes: bool = False) -> tuple:
+        """Append the evaluation at ``S`` to ``src``; return the result's
+        term, whose slope is ``None`` unless ``slopes``."""
+        raise NotImplementedError
 
-        The default calls the function as it is; shapes with a closed form
-        write it inline.
-        """
-        return src.assign(f"{src.bind(self)}(S)")
+    @functools.cached_property
+    def _with_slope(self):
+        """``S -> (value, d/dS)``, compiled from :meth:`emit` on first use."""
+        src = Source()
+        v, d = self.emit(src, slopes=True)
+        src.lines.append(f"return {v}, {d}")
+        return src.compile("S")
 
 
 @dataclass(frozen=True)
@@ -84,17 +113,17 @@ class MonodFn(ScalarFn):
     def __call__(self, S: float) -> float:
         return self.a * S / (self.b + S)
 
-    def emit(self, src: Source) -> str:
-        return src.assign(f"{src.bind(self.a)} * S / ({src.bind(self.b)} + S)")
+    def emit(self, src: Source, slopes: bool = False) -> tuple:
+        a, b = src.bind(self.a), src.bind(self.b)
+        if not slopes:
+            return src.assign(f"{a} * S / ({b} + S)"), None
+        return src.binary("/", src.binary("*", _VAR, (a, "0.0")),
+                          src.binary("+", _VAR, (b, "0.0")))
 
     def eval_dual(self, S: float) -> tuple[float, float]:
-        s = Dual(S, 1.0)
-        r = (s * self.a) / (s + self.b)
-        return r.v, r.d
+        return self._with_slope(S)
 
     def scaled(self, input_scale: float, output_scale: float) -> "MonodFn":
-        if input_scale == 1.0 and output_scale == 1.0:
-            return self
         return MonodFn(self.a * output_scale, self.b / input_scale)
 
 
@@ -110,22 +139,21 @@ class PolyFn(ScalarFn):
             acc = acc * S + c
         return acc
 
-    def emit(self, src: Source) -> str:
+    def emit(self, src: Source, slopes: bool = False) -> tuple:
+        if slopes:
+            acc = ("0.0", "0.0")
+            for c in reversed(self.coeffs):
+                acc = src.binary("+", src.binary("*", acc, _VAR), (src.bind(c), "0.0"))
+            return acc
         acc = "0.0"
         for c in reversed(self.coeffs):
             acc = f"({acc} * S + {src.bind(c)})"
-        return src.assign(acc)
+        return src.assign(acc), None
 
     def eval_dual(self, S: float) -> tuple[float, float]:
-        s = Dual(S, 1.0)
-        acc = Dual(0.0)
-        for c in reversed(self.coeffs):
-            acc = acc * s + c
-        return acc.v, acc.d
+        return self._with_slope(S)
 
     def scaled(self, input_scale: float, output_scale: float) -> "PolyFn":
-        if input_scale == 1.0 and output_scale == 1.0:
-            return self
         return PolyFn(tuple(
             c * output_scale * input_scale ** k for k, c in enumerate(self.coeffs)
         ))
@@ -142,22 +170,15 @@ class QuotientFn(ScalarFn):
             raise EvalError("division by zero in quotient", S)
         return self.num(S) / d
 
-    def emit(self, src: Source) -> str:
-        d = self.den.emit(src)
-        src.lines.append(f"if {d} == 0.0: "
-                         "raise EvalError('division by zero in quotient', S)")
-        return src.assign(f"{self.num.emit(src)} / {d}")
+    def emit(self, src: Source, slopes: bool = False) -> tuple:
+        d = self.den.emit(src, slopes)
+        src.check(f"{d[0]} == 0.0", "division by zero in quotient")
+        return src.binary("/", self.num.emit(src, slopes), d)
 
     def eval_dual(self, S: float) -> tuple[float, float]:
-        dv, dd = self.den.eval_dual(S)
-        if dv == 0.0:
-            raise EvalError("division by zero in quotient", S)
-        r = Dual(*self.num.eval_dual(S)) / Dual(dv, dd)
-        return r.v, r.d
+        return self._with_slope(S)
 
     def scaled(self, input_scale: float, output_scale: float) -> "QuotientFn":
-        if input_scale == 1.0 and output_scale == 1.0:
-            return self
         return QuotientFn(self.num.scaled(input_scale, output_scale),
                           self.den.scaled(input_scale, 1.0))
 
@@ -170,18 +191,14 @@ class DifferenceFn(ScalarFn):
     def __call__(self, S: float) -> float:
         return self.left(S) - self.right(S)
 
-    def emit(self, src: Source) -> str:
-        left = self.left.emit(src)
-        return src.assign(f"{left} - {self.right.emit(src)}")
+    def emit(self, src: Source, slopes: bool = False) -> tuple:
+        left = self.left.emit(src, slopes)
+        return src.binary("-", left, self.right.emit(src, slopes))
 
     def eval_dual(self, S: float) -> tuple[float, float]:
-        lv, ld = self.left.eval_dual(S)
-        rv, rd = self.right.eval_dual(S)
-        return lv - rv, ld - rd
+        return self._with_slope(S)
 
     def scaled(self, input_scale: float, output_scale: float) -> "DifferenceFn":
-        if input_scale == 1.0 and output_scale == 1.0:
-            return self
         return DifferenceFn(self.left.scaled(input_scale, output_scale),
                             self.right.scaled(input_scale, output_scale))
 
@@ -199,12 +216,13 @@ class ExprFn(ScalarFn):
     def __call__(self, S: float) -> float:
         return expr.eval_value(self.ast, S)
 
+    def emit(self, src: Source, slopes: bool = False) -> tuple:
+        return expr.emit(self.ast, src, slopes)
+
     def eval_dual(self, S: float) -> tuple[float, float]:
-        return expr.eval_dual(self.ast, S)
+        return self._with_slope(S)
 
     def scaled(self, input_scale: float, output_scale: float) -> "ExprFn":
-        if input_scale == 1.0 and output_scale == 1.0:
-            return self
         ast = self.ast
         if input_scale != 1.0:
             ast = _substitute_scaled_var(ast, input_scale)
@@ -229,16 +247,12 @@ def _substitute_scaled_var(node: expr.Node, scale: float) -> expr.Node:
     return node
 
 
-def constant(value: float) -> PolyFn:
-    return PolyFn((float(value),))
-
-
 def as_scalar_fn(x, constants: dict[str, float] | None = None) -> ScalarFn:
     """Coerce a number, expression text, or ScalarFn to a ScalarFn."""
     if isinstance(x, ScalarFn):
         return x
     if isinstance(x, (int, float)):
-        return constant(x)
+        return PolyFn((float(x),))
     if isinstance(x, str):
         return ExprFn.from_text(x, constants)
     raise TypeError(f"cannot interpret {x!r} as a scalar function")

@@ -182,7 +182,7 @@ def test_dual_derivative_oracle():
         text = _random_expression(rng)
         node = expr.parse(text)
         s = rng.uniform(0.01, 0.99)
-        v, d = expr.eval_dual(node, s)
+        v, d = ch.ExprFn(node).eval_dual(s)
         h = 1e-5
         fd = (expr.eval_value(node, s + h) - expr.eval_value(node, s - h)) / (2 * h)
         assert abs(d - fd) <= 1e-6 * max(1.0, abs(d)), (text, s, d, fd)

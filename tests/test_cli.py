@@ -66,6 +66,19 @@ class TestAnalyze:
                    "--set", "constants.c2=80", "--out", str(tmp_path / "o"))
         assert code == 2
 
+    def test_unstable_equilibrium_is_not_certified(self, model_file, tmp_path):
+        # the growth's pole at 0.3 is where break_even bisects a sign change,
+        # and every certificate condition holds on the grid around it
+        pole = {"D": 1, "S0": 1,
+                "species": [{"label": "s", "growth": "S/(S-0.3)-0.5",
+                             "uptake": "S"}]}
+        out = tmp_path / "o"
+        assert run("analyze", "--model", model_file(pole), "--out", str(out)) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["verdict"] == "unstable"
+        assert report["local_stability"] == "unstable"
+        assert any("linearly unstable" in note for note in report["notes"])
+
     def test_washout_exit_three(self, model_file, tmp_path):
         code = run("analyze", "--model", model_file(WASHOUT),
                    "--out", str(tmp_path / "o"))

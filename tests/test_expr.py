@@ -5,6 +5,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from chemostat import expr
+from chemostat.scalarfn import ExprFn
 from conftest import central_diff
 
 
@@ -69,41 +70,41 @@ class TestParse:
 
 class TestEvalDual:
     def test_square(self):
-        assert expr.eval_dual(expr.parse("S^2"), 3.0) == (9.0, 6.0)
+        assert ExprFn(expr.parse("S^2")).eval_dual(3.0) == (9.0, 6.0)
 
     def test_saturating_quotient(self):
-        v, d = expr.eval_dual(expr.parse("S/(0.1+S)"), 0.1)
+        v, d = ExprFn(expr.parse("S/(0.1+S)")).eval_dual(0.1)
         assert v == pytest.approx(0.5, abs=1e-12)
         assert d == pytest.approx(2.5, abs=1e-12)
 
     def test_exp_at_zero(self):
-        assert expr.eval_dual(expr.parse("exp(S)"), 0.0) == (1.0, 1.0)
+        assert ExprFn(expr.parse("exp(S)")).eval_dual(0.0) == (1.0, 1.0)
 
     def test_ln_sqrt(self):
-        v, d = expr.eval_dual(expr.parse("ln(S)"), 2.0)
+        v, d = ExprFn(expr.parse("ln(S)")).eval_dual(2.0)
         assert (v, d) == (math.log(2.0), 0.5)
-        v, d = expr.eval_dual(expr.parse("sqrt(S)"), 4.0)
+        v, d = ExprFn(expr.parse("sqrt(S)")).eval_dual(4.0)
         assert (v, d) == (2.0, 0.25)
 
     def test_division_by_zero_carries_S(self):
         with pytest.raises(expr.EvalError) as err:
-            expr.eval_dual(expr.parse("1/(S-0.5)"), 0.5)
+            ExprFn(expr.parse("1/(S-0.5)")).eval_dual(0.5)
         assert err.value.S == 0.5
 
     def test_ln_of_nonpositive(self):
         with pytest.raises(expr.EvalError):
-            expr.eval_dual(expr.parse("ln(S-1)"), 0.5)
+            ExprFn(expr.parse("ln(S-1)")).eval_dual(0.5)
 
     def test_sqrt_of_negative(self):
         with pytest.raises(expr.EvalError):
-            expr.eval_dual(expr.parse("sqrt(S-1)"), 0.5)
+            ExprFn(expr.parse("sqrt(S-1)")).eval_dual(0.5)
 
     def test_fractional_power_of_negative_base(self):
         with pytest.raises(expr.EvalError):
-            expr.eval_dual(expr.parse("(S-1)^0.5"), 0.5)
+            ExprFn(expr.parse("(S-1)^0.5")).eval_dual(0.5)
 
     def test_integer_power_of_negative_base(self):
-        v, d = expr.eval_dual(expr.parse("(S-1)^3"), 0.5)
+        v, d = ExprFn(expr.parse("(S-1)^3")).eval_dual(0.5)
         assert v == pytest.approx(-0.125)
         assert d == pytest.approx(0.75)
 
@@ -157,7 +158,7 @@ def test_unbalanced_parens_rejected(ast, pos, opening):
 def test_dual_matches_central_difference(ast, S):
     h = 1e-5
     try:
-        v, d = expr.eval_dual(ast, S)
+        v, d = ExprFn(ast).eval_dual(S)
         vals = [expr.eval_value(ast, S + k * h) for k in (-2, -1, 1, 2)]
     except (expr.EvalError, OverflowError):
         assume(False)

@@ -1,5 +1,8 @@
-"""The compiled right-hand side against the per-ScalarFn loop it replaced."""
+"""Generated code against the hand-written evaluation it reproduces: the
+compiled right-hand side against the per-ScalarFn loop, and the values of
+the compiled slope path against ``ScalarFn.__call__``."""
 
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -97,3 +100,26 @@ def test_wrong_state_length_raises(fig_two_species, n_extra):
         y = y[:n_extra]
     with pytest.raises(ValueError):
         vector_field(fig_two_species)(0.0, y)
+
+
+def value_or_error(fn, S):
+    try:
+        v = fn(S)
+    except (ArithmeticError, ValueError) as e:
+        return type(e), str(e)
+    return "nan" if math.isnan(v) else v
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shapes, _substrate)
+# the slope path returns +0.0 for sqrt(-0.0), which equals the value -0.0
+@example(ExprFn(expr.Call("sqrt", expr.Var())), -0.0)
+def test_slope_path_value_matches_call(fn, S):
+    expected = value_or_error(fn, S)
+    got = value_or_error(lambda s: fn.eval_dual(s)[0], S)
+    if got != expected:
+        # only the slope's own arithmetic may fail where the value does not:
+        # a quotient's squared denominator can underflow to zero, and a
+        # power's base ** (e - 1) can overflow, for example at S = 1e-200
+        assert isinstance(got, tuple), (expected, got)
+        assert got[0] in (ZeroDivisionError, OverflowError), (expected, got)
